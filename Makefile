@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench fmt vet staticcheck docs-check fuzz cover ci clean serve-smoke obs-smoke cluster-smoke
+.PHONY: all build test race bench fmt vet staticcheck docs-check fuzz cover ci clean serve-smoke obs-smoke cluster-smoke perfbench-check
 
 all: build
 
@@ -97,7 +97,12 @@ obs-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-ci: fmt vet staticcheck build race cover fuzz docs-check bench obs-smoke cluster-smoke
+# perfbench-check vets and unit-tests the benchmark harness (its oracle and
+# probes). perfbench is a nested module, so the root ./... never enters it.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: fmt vet staticcheck build race cover fuzz docs-check bench obs-smoke cluster-smoke perfbench-check
 
 clean:
 	rm -f BENCH_ci.txt BENCH_ci.json cover_violation.out cover_rules.out cover_monitor.out

@@ -44,6 +44,22 @@ func (rep *Report) Clean() bool { return len(rep.Violations) == 0 }
 // matcher; this function keeps only the attribute validation and the report
 // conversion.
 func Detect(rel *cfd.Relation, set *rules.Set) (*Report, error) {
+	eng, err := load(rel, set)
+	if err != nil {
+		return nil, err
+	}
+	vrep := eng.Report()
+	rep := &Report{RulesChecked: vrep.RulesChecked, DirtyTuples: vrep.DirtyTuples}
+	for _, v := range vrep.Violations {
+		rep.Violations = append(rep.Violations, Violation(v))
+	}
+	return rep, nil
+}
+
+// load validates the rules against the relation's attributes and bulk loads
+// both into a fresh violation engine, whose tuple ids then equal the
+// relation's tuple indexes.
+func load(rel *cfd.Relation, set *rules.Set) (*violation.Engine, error) {
 	known := make(map[string]bool)
 	for _, a := range rel.Attributes() {
 		known[a] = true
@@ -68,12 +84,7 @@ func Detect(rel *cfd.Relation, set *rules.Set) (*Report, error) {
 	if err := eng.BulkLoad(rel); err != nil {
 		return nil, err
 	}
-	vrep := eng.Report()
-	rep := &Report{RulesChecked: vrep.RulesChecked, DirtyTuples: vrep.DirtyTuples}
-	for _, v := range vrep.Violations {
-		rep.Violations = append(rep.Violations, Violation(v))
-	}
-	return rep, nil
+	return eng, nil
 }
 
 // TupleReport lists the rules violated by one tuple.
@@ -99,27 +110,21 @@ func ByTuple(rep *Report) []TupleReport {
 	return out
 }
 
-// Suspects returns the tuples most likely to be erroneous under the rules:
-// tuples that violate a constant-RHS rule on their own, plus tuples holding a
-// minority right-hand-side value within their left-hand-side group under a
-// variable rule. This is a sharper signal than Report.DirtyTuples, which
-// contains every tuple involved in any violating pair (for a variable rule a
-// single wrong tuple drags its whole group in).
+// Suspects returns the tuples most likely to be erroneous under the rules,
+// as ascending tuple indexes: the members of a violating LHS group whose
+// right-hand-side value differs from the rule's constant (constant-RHS rule)
+// or from the group's majority value (variable rule, ties going to the
+// lexicographically smallest value). This is a sharper signal than
+// Report.DirtyTuples, which contains every tuple involved in any violating
+// pair (for a variable rule a single wrong tuple drags its whole group in).
+// The definition is violation.Engine.Suspects; SuggestRepairs proposes a
+// correction for exactly these tuples.
 func Suspects(rel *cfd.Relation, set *rules.Set) ([]int, error) {
-	repairs, err := SuggestRepairs(rel, set)
+	eng, err := load(rel, set)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[int]bool)
-	for _, rp := range repairs {
-		seen[rp.Tuple] = true
-	}
-	out := make([]int, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Ints(out)
-	return out, nil
+	return eng.Suspects(), nil
 }
 
 // Repair is a suggested single-attribute correction for one tuple.
@@ -187,10 +192,10 @@ func SuggestRepairs(rel *cfd.Relation, set *rules.Set) ([]Repair, error) {
 				}
 				counts[val]++
 			}
-			best := ""
+			best, most := "", 0
 			for val, n := range counts {
-				if best == "" || n > counts[best] || (n == counts[best] && val < best) {
-					best = val
+				if n > most || (n == most && val < best) {
+					best, most = val, n
 				}
 			}
 			for _, t := range tuples {

@@ -102,9 +102,10 @@ func (c *Cluster) merge(docs []ViolationsDoc) (*MergedViolations, error) {
 	return out, nil
 }
 
-// Suspects scatter-gathers the repair view. Suspect analysis is group-local
-// (cleaning.Suspects reasons per LHS group), and groups are intact within
-// their shard, so the sorted union equals the single-node suspect list.
+// Suspects scatter-gathers the repair view. The suspect definition
+// (core.RuleIndex.Suspects) is group-local — a tuple's status depends only on
+// its own LHS group — and groups are intact within their shard, so the
+// sorted union equals the single-node suspect list.
 func (c *Cluster) Suspects(ctx context.Context) ([]int, error) {
 	docs := make([]SuspectsDoc, len(c.shards))
 	if err := c.scatter("suspects", func(i int, s *ShardClient) error {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -212,7 +213,7 @@ func TestPagination(t *testing.T) {
 		t.Fatalf("paged violations %v, unpaged %v", paged, unpaged)
 	}
 
-	// /v1/suspects: ascending ids, offset cursor.
+	// /v1/suspects: ascending ids, id-based cursor.
 	unpagedS := do(t, "GET", ts.URL+"/v1/suspects", nil, http.StatusOK)["suspects"].([]any)
 	var pagedS []any
 	url = ts.URL + "/v1/suspects?limit=2"
@@ -227,6 +228,51 @@ func TestPagination(t *testing.T) {
 	}
 	if fmt.Sprint(pagedS) != fmt.Sprint(unpagedS) {
 		t.Fatalf("paged suspects %v, unpaged %v", pagedS, unpagedS)
+	}
+}
+
+// TestSuspectsCursorSurvivesWrites pins the id-based suspects cursor: a write
+// between two page requests that makes a tuple below the cursor a suspect
+// shifts the list, yet the next page neither skips nor repeats an id that is
+// a suspect at both epochs.
+func TestSuspectsCursorSurvivesWrites(t *testing.T) {
+	ts := newTestServer(t)
+	before := ints(t, do(t, "GET", ts.URL+"/v1/suspects", nil, http.StatusOK)["suspects"])
+	page := do(t, "GET", ts.URL+"/v1/suspects?limit=2", nil, http.StatusOK)
+	first := ints(t, page["suspects"])
+	next, ok := page["next_cursor"].(string)
+	if !ok || len(first) != 2 {
+		t.Fatalf("first page %v of %v carries no cursor", first, before)
+	}
+	// Tuple 0 moves to area code 131 without the city EDI: a new suspect
+	// below every id on the first page.
+	do(t, "PUT", ts.URL+"/v1/tuples/0", map[string]any{
+		"values": []string{"01", "131", "1111111", "Mike", "Tree Ave.", "MH", "07974"},
+	}, http.StatusOK)
+	after := ints(t, do(t, "GET", ts.URL+"/v1/suspects", nil, http.StatusOK)["suspects"])
+	if slices.Contains(before, 0) || !slices.Contains(after, 0) {
+		t.Fatalf("the write should make tuple 0 a suspect: before %v, after %v", before, after)
+	}
+	seen := make(map[int]int)
+	for {
+		page := do(t, "GET", ts.URL+"/v1/suspects?limit=2&cursor="+next, nil, http.StatusOK)
+		for _, id := range ints(t, page["suspects"]) {
+			seen[id]++
+		}
+		if next, ok = page["next_cursor"].(string); !ok {
+			break
+		}
+	}
+	for _, id := range before {
+		if id > first[len(first)-1] && slices.Contains(after, id) && seen[id] != 1 {
+			t.Fatalf("suspect %d listed %d times past the cursor (before %v, first page %v, after %v, rest %v)",
+				id, seen[id], before, first, after, seen)
+		}
+	}
+	for id, n := range seen {
+		if n != 1 || id <= first[len(first)-1] {
+			t.Fatalf("id %d listed %d times on the later pages, first page %v", id, n, first)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/cluster"
@@ -205,37 +204,14 @@ func (s *coordServer) suspects(w http.ResponseWriter, r *http.Request) {
 		writeClusterError(w, r, err)
 		return
 	}
-	lo, hi, next, err := pageWindow(r.URL.Query(), len(out))
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, codeBadRequest, err)
-		return
-	}
-	resp := map[string]any{"suspects": out[lo:hi]}
-	if next != "" {
-		resp["next_cursor"] = next
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSuspects(w, r, out)
 }
 
 func (s *coordServer) listTuples(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	cursor := 0
-	if c := q.Get("cursor"); c != "" {
-		v, err := strconv.Atoi(c)
-		if err != nil || v < 0 {
-			writeError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Errorf("cursor %q is not a non-negative integer", c))
-			return
-		}
-		cursor = v
-	}
-	limit := 0
-	if l := q.Get("limit"); l != "" {
-		v, err := strconv.Atoi(l)
-		if err != nil || v <= 0 {
-			writeError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Errorf("limit %q is not a positive integer", l))
-			return
-		}
-		limit = v
+	cursor, limit, err := pageParams(r.URL.Query())
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, codeBadRequest, err)
+		return
 	}
 	page, err := s.cl.Tuples(r.Context(), cursor, limit)
 	if err != nil {

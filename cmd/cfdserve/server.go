@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/cfd"
-	"repro/cleaning"
 	"repro/dataset"
 	"repro/discovery/monitor"
 	"repro/obs"
@@ -219,32 +218,60 @@ func etagMatch(header, version string) bool {
 	return false
 }
 
+// pageParams parses the limit/cursor query parameters: a non-negative cursor
+// (0 when absent) and a positive limit (0, meaning no limit, when absent).
+func pageParams(q url.Values) (cursor, limit int, err error) {
+	if c := q.Get("cursor"); c != "" {
+		v, err := strconv.Atoi(c)
+		if err != nil || v < 0 {
+			return 0, 0, fmt.Errorf("cursor %q is not a non-negative integer", c)
+		}
+		cursor = v
+	}
+	if l := q.Get("limit"); l != "" {
+		v, err := strconv.Atoi(l)
+		if err != nil || v <= 0 {
+			return 0, 0, fmt.Errorf("limit %q is not a positive integer", l)
+		}
+		limit = v
+	}
+	return cursor, limit, nil
+}
+
 // pageWindow resolves the limit/cursor query parameters to a [lo,hi) window
 // over n items held in a fixed deterministic order, and, when items remain
 // past the window, the cursor of the next page. No limit means everything.
 func pageWindow(q url.Values, n int) (lo, hi int, next string, err error) {
-	if c := q.Get("cursor"); c != "" {
-		v, err := strconv.Atoi(c)
-		if err != nil || v < 0 {
-			return 0, 0, "", fmt.Errorf("cursor %q is not a non-negative integer", c)
-		}
-		lo = v
+	lo, limit, err := pageParams(q)
+	if err != nil {
+		return 0, 0, "", err
 	}
-	if lo > n {
-		lo = n
-	}
-	hi = n
-	if l := q.Get("limit"); l != "" {
-		v, err := strconv.Atoi(l)
-		if err != nil || v <= 0 {
-			return 0, 0, "", fmt.Errorf("limit %q is not a positive integer", l)
-		}
-		if lo+v < hi {
-			hi = lo + v
-			next = strconv.Itoa(hi)
-		}
+	lo, hi = min(lo, n), n
+	if limit > 0 && lo+limit < hi {
+		hi = lo + limit
+		next = strconv.Itoa(hi)
 	}
 	return lo, hi, next, nil
+}
+
+// writeSuspects serves an ascending suspect-id list, paged by id: the cursor
+// is the id to resume from (as handed back in next_cursor), the /v1/tuples
+// contract, so a write between two page requests can neither skip nor repeat
+// an id that stays a suspect. Node and coordinator share it.
+func writeSuspects(w http.ResponseWriter, r *http.Request, ids []int) {
+	cursor, limit, err := pageParams(r.URL.Query())
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, codeBadRequest, err)
+		return
+	}
+	lo, hi := sort.SearchInts(ids, cursor), len(ids)
+	resp := map[string]any{}
+	if limit > 0 && lo+limit < hi {
+		hi = lo + limit
+		resp["next_cursor"] = strconv.Itoa(ids[hi])
+	}
+	resp["suspects"] = ids[lo:hi]
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func pathID(r *http.Request) (int, error) {
@@ -798,36 +825,10 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// suspects serves the repair view: Engine.Suspects, computed from the live
+// rule indexes and cached per epoch.
 func (s *server) suspects(w http.ResponseWriter, r *http.Request) {
-	// Relation() materialises one consistent copy; the batch suspect analysis
-	// then runs on the copy without holding anything, so a polling client
-	// never stalls writers.
-	rel, ids, err := s.eng.Relation()
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, codeInternal, err)
-		return
-	}
-	suspects, err := cleaning.Suspects(rel, s.eng.RuleSet())
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, codeInternal, err)
-		return
-	}
-	out := make([]int, len(suspects))
-	for i, t := range suspects {
-		out[i] = ids[t]
-	}
-	// Ascending tuple ids pin the pagination order.
-	sort.Ints(out)
-	lo, hi, next, err := pageWindow(r.URL.Query(), len(out))
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, codeBadRequest, err)
-		return
-	}
-	resp := map[string]any{"suspects": out[lo:hi]}
-	if next != "" {
-		resp["next_cursor"] = next
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSuspects(w, r, s.eng.Suspects())
 }
 
 type tupleJSON struct {
@@ -840,24 +841,10 @@ type tupleJSON struct {
 // from (as handed back in next_cursor), so a page stays correct even when
 // tuples are inserted or deleted between requests.
 func (s *server) listTuples(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	start := 0
-	if c := q.Get("cursor"); c != "" {
-		v, err := strconv.Atoi(c)
-		if err != nil || v < 0 {
-			writeError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Errorf("cursor %q is not a non-negative integer", c))
-			return
-		}
-		start = v
-	}
-	limit := 0
-	if l := q.Get("limit"); l != "" {
-		v, err := strconv.Atoi(l)
-		if err != nil || v <= 0 {
-			writeError(w, r, http.StatusBadRequest, codeBadRequest, fmt.Errorf("limit %q is not a positive integer", l))
-			return
-		}
-		limit = v
+	start, limit, err := pageParams(r.URL.Query())
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, codeBadRequest, err)
+		return
 	}
 	tuples, next, more := s.eng.Tuples(start, limit)
 	out := make([]tupleJSON, len(tuples))

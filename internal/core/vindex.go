@@ -392,6 +392,54 @@ func (ix *RuleIndex) Tuples() int { return ix.size }
 // currently holding at least one tuple, in O(1).
 func (ix *RuleIndex) Groups() int { return len(ix.groups) }
 
+// majority returns the group's most frequent RHS code; a tie goes to the
+// code less orders first.
+func (g *vgroup) majority(less func(a, b int32) bool) int32 {
+	best, most := int32(0), 0
+	consider := func(code int32, n int) {
+		if n > most || (n == most && less(code, best)) {
+			best, most = code, n
+		}
+	}
+	if g.n1 > 0 {
+		consider(g.rc1, g.n1)
+	}
+	if g.n2 > 0 {
+		consider(g.rc2, g.n2)
+	}
+	for code, n := range g.spill {
+		consider(code, n)
+	}
+	return best
+}
+
+// Suspects returns the ids of the tuples most likely wrong under the rule, in
+// no particular order: the members of violating groups whose RHS
+// code differs from the value the group should hold. That value is the RHS
+// constant of a constant-RHS rule, and otherwise the group's majority RHS
+// code, a tie going to the code less orders first (callers pass an order on
+// the decoded values, so the tie-break does not depend on interning order).
+// Like every read of the index it does not mutate it.
+func (ix *RuleIndex) Suspects(less func(a, b int32) bool) []int {
+	var out []int
+	rhsConst := ix.c.Tp[ix.c.RHS]
+	for _, g := range ix.groups {
+		if !g.bad {
+			continue
+		}
+		want := rhsConst
+		if want == Wildcard {
+			want = g.majority(less)
+		}
+		for _, m := range g.members {
+			if int32(uint32(m)) != want {
+				out = append(out, int(m>>32))
+			}
+		}
+	}
+	return out
+}
+
 // Violating returns the ids of all tuples currently involved in a violation,
 // in ascending order.
 func (ix *RuleIndex) Violating() []int {

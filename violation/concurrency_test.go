@@ -157,6 +157,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					_ = v.Tuples
 				}
 				_ = eng.Dirty()
+				_ = eng.Suspects()
 				_ = eng.Size()
 				_ = eng.DirtyCount()
 				// Point reads on ids that may vanish concurrently: only
@@ -214,6 +215,9 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	got.Epoch, want.Epoch = 0, 0 // mutation counts differ; the state must not
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("final report differs from the bulk-loaded baseline")
+	}
+	if got, want := eng.Suspects(), baseline.Suspects(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("final suspects %v differ from the bulk-loaded baseline %v", got, want)
 	}
 	checkReportConsistent(t, eng, eng.Report())
 }

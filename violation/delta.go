@@ -295,11 +295,13 @@ func (e *Engine) resetViewLocked() {
 
 // rebaseEpochLocked renumbers the engine's epoch (aligning it with a commit
 // log's sequence numbers) and discards everything keyed by the old numbering:
-// the delta ring and the cached snapshot. Callers hold the write lock.
+// the delta ring, the cached snapshot and the cached suspect list. Callers
+// hold the write lock.
 func (e *Engine) rebaseEpochLocked(n uint64) {
 	e.epoch.Store(n)
 	e.deltaN = 0
 	e.snap.Store(nil)
+	e.susp.Store(nil)
 	close(e.watch)
 	e.watch = make(chan struct{})
 }

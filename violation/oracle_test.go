@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/cfd"
+	"repro/cleaning"
 	"repro/rules"
 	"repro/violation"
 )
@@ -40,15 +41,7 @@ func (m *oracleModel) liveIDs() []int {
 // set order, tuples as ascending engine ids.
 func (m *oracleModel) expected(t *testing.T, attrs []string) ([]violation.Violation, []int) {
 	t.Helper()
-	ids := m.liveIDs()
-	rowList := make([][]string, len(ids))
-	for i, id := range ids {
-		rowList[i] = m.rows[id]
-	}
-	rel, err := cfd.FromRows(attrs, rowList)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel, ids := m.relation(t, attrs)
 	viols := naiveDetect(t, rel, m.set.CFDs())
 	dirty := make(map[int]bool)
 	for vi := range viols {
@@ -63,6 +56,51 @@ func (m *oracleModel) expected(t *testing.T, attrs []string) ([]violation.Violat
 	}
 	sort.Ints(union)
 	return viols, union
+}
+
+// relation materialises the live tuples in ascending id order, returning the
+// engine id of each relation tuple.
+func (m *oracleModel) relation(t *testing.T, attrs []string) (*cfd.Relation, []int) {
+	t.Helper()
+	ids := m.liveIDs()
+	rowList := make([][]string, len(ids))
+	for i, id := range ids {
+		rowList[i] = m.rows[id]
+	}
+	rel, err := cfd.FromRows(attrs, rowList)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel, ids
+}
+
+// repairedIDs is the independent suspect reference: the tuples of rel that
+// cleaning.SuggestRepairs proposes a correction for, grouping rel's rows by
+// their string values itself, mapped through ids (the engine id of each
+// tuple of rel) and returned ascending.
+func repairedIDs(t *testing.T, rel *cfd.Relation, ids []int, set *rules.Set) []int {
+	t.Helper()
+	repairs, err := cleaning.SuggestRepairs(rel, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []int{}
+	for _, rp := range repairs { // sorted by tuple, so ascending ids
+		if id := ids[rp.Tuple]; len(out) == 0 || out[len(out)-1] != id {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// checkSuspects asserts that the engine's index-level suspect list equals the
+// repairedIDs reference on the model's live rows.
+func checkSuspects(t *testing.T, eng *violation.Engine, m *oracleModel, attrs []string, ctx string) {
+	t.Helper()
+	rel, ids := m.relation(t, attrs)
+	if got, want := eng.Suspects(), repairedIDs(t, rel, ids, m.set); !sameIDs(got, want) {
+		t.Fatalf("%s: suspects\nengine: %v\noracle: %v", ctx, got, want)
+	}
 }
 
 // oracleRulePool returns the candidate rule sets a swap step picks from:
@@ -345,8 +383,9 @@ func runOracle(t *testing.T, seed int64, steps int, eng *violation.Engine, pool 
 			t.Fatalf("seed %d step %d (%s): engine size %d, oracle %d",
 				seed, step, desc, eng.Size(), len(m.rows))
 		}
-		checkRuleStats(t, eng, m, rel.Attributes(), wantViols,
-			fmt.Sprintf("seed %d step %d (%s)", seed, step, desc))
+		ctx := fmt.Sprintf("seed %d step %d (%s)", seed, step, desc)
+		checkRuleStats(t, eng, m, rel.Attributes(), wantViols, ctx)
+		checkSuspects(t, eng, m, rel.Attributes(), ctx)
 	}
 }
 

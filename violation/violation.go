@@ -33,10 +33,12 @@
 // snapshot keyed by a mutation epoch: the first read after a mutation
 // rebuilds the snapshot (briefly excluding writers), and every subsequent
 // read shares it without taking any lock at all, so a polling client never
-// stalls the write path. Point reads (Row, TupleViolations, Size, ...) read
-// the live state under a read lock. Everything a reader receives —
-// snapshots, violation tuple slices, rows — is immutable or freshly built;
-// treat shared slices as read-only.
+// stalls the write path. Suspects is cached per epoch the same way; its
+// first read after a mutation walks the rule indexes under the read lock.
+// Point reads (Row, TupleViolations, Size, ...) read the live state under a
+// read lock. Everything a reader receives — snapshots, violation tuple
+// slices, suspect lists, rows — is immutable or freshly built; treat shared
+// slices as read-only.
 //
 // # Durability
 //
@@ -55,6 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -179,6 +182,10 @@ type Engine struct {
 	epoch  atomic.Uint64
 	snap   atomic.Pointer[snapshot]
 	snapMu sync.Mutex // serialises snapshot rebuilds
+	// susp caches the Suspects list computed at one epoch, under the same
+	// double-checked pattern as snap.
+	susp   atomic.Pointer[suspectList]
+	suspMu sync.Mutex // serialises suspect-list rebuilds
 
 	// The incremental materialized-view state, all written under mu.Lock:
 	// deltas is the bounded ring of per-commit deltas, indexed by epoch modulo
@@ -204,6 +211,12 @@ type snapshot struct {
 	violations []Violation // one per violated rule, rule order
 	dirty      []int       // sorted union of violating ids
 	rules      int         // rules maintained at this epoch
+}
+
+// suspectList is the Suspects result cached for one epoch.
+type suspectList struct {
+	epoch uint64
+	ids   []int
 }
 
 // New builds an engine over the given attribute schema, serving the rules of
@@ -691,6 +704,51 @@ func (e *Engine) DirtyCount() int {
 		n += ix.BadTuples()
 	}
 	return n
+}
+
+// Suspects returns the ids of the tuples most likely to be erroneous under
+// the served rules, ascending and without duplicates. A tuple is a suspect
+// when it sits in a violating LHS group of some rule and its RHS value is not
+// the one the group should hold: the rule's constant for a constant-RHS
+// rule, and otherwise the group's majority RHS value, a tie going to the
+// lexicographically smallest value (core.RuleIndex.Suspects). This is a
+// sharper signal than Dirty, which for a variable rule also lists the
+// majority members of a violating group.
+//
+// The walk reads the live rule indexes under the read lock, fanned out across
+// the rules, and its result is cached per epoch like the report snapshot, so
+// repeated reads between mutations cost nothing. Treat the slice as
+// read-only.
+func (e *Engine) Suspects() []int {
+	if s := e.susp.Load(); s != nil && s.epoch == e.epoch.Load() {
+		return s.ids
+	}
+	e.suspMu.Lock()
+	defer e.suspMu.Unlock()
+	if s := e.susp.Load(); s != nil && s.epoch == e.epoch.Load() {
+		return s.ids
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	perRule, _ := pool.Map(context.Background(), e.workers, len(e.indexes), func(_, i int) []int {
+		ix := e.indexes[i]
+		if ix.BadTuples() == 0 {
+			return nil
+		}
+		dict := e.dicts[ix.CFD().RHS]
+		return ix.Suspects(func(a, b int32) bool { return dict.Value(a) < dict.Value(b) })
+	})
+	ids := []int{}
+	for _, ruleIDs := range perRule {
+		ids = append(ids, ruleIDs...)
+	}
+	sort.Ints(ids)
+	ids = slices.Compact(ids)
+	// Published under the read lock, so a concurrent rebaseEpochLocked
+	// (which drops the cache under the write lock) cannot be overtaken by a
+	// list computed under the old numbering.
+	e.susp.Store(&suspectList{epoch: e.epoch.Load(), ids: ids})
+	return ids
 }
 
 // TupleViolations returns the rules the given live tuple currently violates,
